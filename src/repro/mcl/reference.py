@@ -68,6 +68,8 @@ def prepare_matrix(matrix: CSCMatrix, options: MclOptions) -> CSCMatrix:
     """Canonical MCL input: optional self loops, column stochastic."""
     if matrix.nrows != matrix.ncols:
         raise ValueError(f"MCL needs a square matrix, got {matrix.shape}")
+    if not np.isfinite(matrix.data).all():
+        raise ValueError("MCL needs finite edge weights (got NaN or inf)")
     if matrix.nnz and matrix.data.min() < 0:
         raise ValueError("MCL needs non-negative edge weights")
     work = matrix.sum_duplicates().pruned_zeros()

@@ -9,6 +9,7 @@ that format, maintaining the label ↔ index dictionary the way mcl's
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,10 @@ def read_abc(
                 raise FormatError(
                     f"{path}:{lineno}: expected 2 or 3 fields, got "
                     f"{len(parts)}"
+                )
+            if not math.isfinite(w):
+                raise FormatError(
+                    f"{path}:{lineno}: non-finite weight {w}"
                 )
             if w < 0:
                 raise FormatError(

@@ -97,12 +97,18 @@ def random_csc(
     if target == 0 or nrows == 0 or ncols == 0:
         return CSCMatrix.empty(shape)
     # Sample linear coordinates without replacement when feasible, with
-    # replacement + dedup otherwise (the usual sprand compromise).
+    # replacement + dedup otherwise (the usual sprand compromise).  The
+    # dedup is a sort plus a run-boundary mask: NumPy 2's ``unique``
+    # hashes integer keys, which is many times slower on random keys.
     total = nrows * ncols
     if total <= 8 * target:
         lin = rng.choice(total, size=min(target, total), replace=False)
     else:
-        lin = np.unique(rng.integers(0, total, size=target))
+        lin = np.sort(rng.integers(0, total, size=target))
+        keep = np.empty(len(lin), dtype=bool)
+        keep[0] = True
+        np.not_equal(lin[1:], lin[:-1], out=keep[1:])
+        lin = lin[keep]
     rows = (lin % nrows).astype(_c.INDEX_DTYPE)
     cols = (lin // nrows).astype(_c.INDEX_DTYPE)
     n = len(lin)

@@ -60,8 +60,10 @@ def read_matrix_market(path) -> CSCMatrix:
         if symmetry not in ("general", "symmetric"):
             raise FormatError(f"{path}: unsupported symmetry {symmetry!r}")
         line = fh.readline()
+        body_start = 3  # line number of the first entry line
         while line.startswith("%"):
             line = fh.readline()
+            body_start += 1
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"{path}: bad size line {line!r}")
@@ -75,6 +77,12 @@ def read_matrix_market(path) -> CSCMatrix:
     rows = data[:, 0].astype(np.int64) - 1
     cols = data[:, 1].astype(np.int64) - 1
     vals = data[:, 2] if field != "pattern" else np.ones(len(rows))
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        lineno = _entry_lineno(path, body_start, int(bad[0]))
+        raise FormatError(
+            f"{path}:{lineno}: non-finite weight {vals[bad[0]]}"
+        )
     if symmetry == "symmetric":
         off = rows != cols
         rows = np.concatenate((rows, cols[off]))
@@ -82,3 +90,16 @@ def read_matrix_market(path) -> CSCMatrix:
         vals = np.concatenate((vals, vals[off]))
         cols = cols2
     return csc_from_triples((nrows, ncols), rows, cols, vals)
+
+
+def _entry_lineno(path: Path, body_start: int, k: int) -> int:
+    """File line number of the ``k``-th entry line (0-based), counting as
+    ``np.loadtxt`` does: blank lines and ``#`` comments hold no entry."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno < body_start or not line.split("#", 1)[0].strip():
+                continue
+            if k == 0:
+                return lineno
+            k -= 1
+    raise FormatError(f"{path}: entry {k} not found")

@@ -86,6 +86,22 @@ class TestRandom:
         b = random_csc((40, 40), 0.1, seed=99)
         assert a.same_pattern_and_values(b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_sort_dedup_matches_unique(self, seed):
+        """The sparse-sampling dedup is a sort plus a boundary mask; the
+        matrix is bit-identical to the one ``np.unique`` sampling gave."""
+        shape, density = (300, 500), 0.02
+        rng = np.random.default_rng(seed)
+        lin = np.unique(rng.integers(0, 300 * 500, size=3000))
+        vals = rng.uniform(np.finfo(float).tiny, 1.0, size=len(lin))
+        expected = csc_from_triples(shape, lin % 300, lin // 300, vals,
+                                    sum_dup=False)
+        got = random_csc(shape, density, seed=seed)
+        assert len(lin) < 3000  # the draw had duplicates to drop
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field),
+                                  getattr(expected, field)), field
+
     def test_full_density(self):
         mat = random_csc((10, 10), 1.0, seed=5)
         assert mat.nnz == 100

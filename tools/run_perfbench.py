@@ -51,8 +51,8 @@ def main(argv=None) -> int:
         help="explicit output path (overrides --pr)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=ROOT / "BENCH_PR9.json",
-        help="baseline report to compare against (default BENCH_PR9.json)",
+        "--baseline", type=Path, default=ROOT / "BENCH_PR10.json",
+        help="baseline report to compare against (default BENCH_PR10.json)",
     )
     parser.add_argument(
         "--workers", default=None, metavar="N",
