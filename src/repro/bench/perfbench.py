@@ -15,8 +15,8 @@ regressions in the numeric kernels are caught in review.  It runs
   split-3D charge model) × worker count, the 3d cells also recording the
   *simulated* per-rank SUMMA broadcast seconds under the hybrid and
   broadcast-only transports (evidence, not wall-clock — never gated), and
-* a worker-scaling sweep: the densest network end-to-end under each
-  pool execution backend (threads and processes) at 1, 2 and 4 workers,
+* a worker-scaling sweep: the densest network end-to-end on the thread
+  pool at 1, 2 and 4 workers,
 * a locality sweep: end-to-end runs over network × reordering strategy
   (none/degree/community) × worker count, including a zero-inter-degree
   "islands" network where the community ordering tightens the SPA
@@ -33,28 +33,8 @@ entry compares only against the *same backend and worker count* in the
 baseline, so the gate stays meaningful on boxes where pool overhead
 exceeds the parallel win (e.g. single-core CI runners).
 
-Schema history: version 3 added the ``backend``/``overlap`` report
-fields and nested the scaling section per backend
-(``scaling/{net}/{backend}/w{N}``).  Version-2 baselines (process-only
-scaling, ``scaling/{net}/w{N}``) remain comparable: a schema-3 report
-flattens its process-backend scaling rows under the legacy names too.
-Version 4 added the ``merge_impl`` field and the ``merge_sweep``
-section — the parallel-SpKAdd micro-sweep over list count × nnz skew ×
-worker count.  Schema-3 baselines lack those rows, so a ``--check``
-against one simply compares the shared names (the merge sweep is gated
-only once a schema-4 baseline is recorded).  Version 5 added the
-``pipeline_sweep`` section — end-to-end runs over network × SUMMA
-broadcast schedule (sync vs the fully-static pipeline) × worker count —
-gated the same way: older baselines simply never pair with its rows.
-Version 6 added the ``grid``/``layers``/``transport`` report fields and
-the ``grid_sweep`` section — end-to-end runs over network × process
-grid × worker count, whose 3d cells carry the simulated
-``sim_summa_bcast`` figure and the transport-selection counts
-(non-``seconds`` keys, invisible to the wall-clock gate).  Version 7
-added the ``locality_sweep`` and ``delta_rerun`` sections — the
-reordering-strategy sweep and the warm-vs-cold incremental
-re-clustering pair; the warm row's ``speedup``/``dirty_fraction``
-figures are evidence keys the gate ignores.
+Only schema-7 baselines are accepted; an older report must be
+re-recorded before it can gate.
 
 Wall-clock on shared machines is noisy: every measurement is the best of
 ``repeats`` runs after one warmup, and the comparison uses a generous
@@ -79,11 +59,11 @@ BENCH_NETS = ("archaea-xs", "eukarya-xs", "isom100-3-xs")
 #: bench net, where the SUMMA stage batches are fattest).
 SCALING_NET = "isom100-3-xs"
 SCALING_WORKERS = (1, 2, 4)
-SCALING_BACKENDS = ("thread", "process")
+SCALING_BACKENDS = ("thread",)
 
 SCHEMA_VERSION = 7
-#: Baseline schema versions this harness can still compare against.
-SUPPORTED_SCHEMAS = (2, 3, 4, 5, 6, 7)
+#: Baseline schema versions this harness can compare against.
+SUPPORTED_SCHEMAS = (7,)
 
 #: The pipeline sweep: net × broadcast schedule × worker count.  The
 #: static schedule moves only *simulated* time; these rows pin the
@@ -414,8 +394,8 @@ def run_perfbench(
 
     ``workers``/``backend``/``overlap`` select the execution backend for
     the end-to-end runs (resolved values are recorded in the report);
-    the scaling sweep pins its own counts and sweeps both pool backends.
-    ``scaling=False`` skips the sweep (it costs six extra end-to-end
+    the scaling sweep pins its own counts on the thread pool.
+    ``scaling=False`` skips the sweep (it costs three extra end-to-end
     runs of :data:`SCALING_NET`); ``pipeline=False`` skips the
     schedule sweep (eight extra end-to-end runs over
     :data:`PIPELINE_SWEEP_NETS`); ``grid_sweep=False`` skips the grid
@@ -559,11 +539,6 @@ class Comparison:
         return self.ratio > 1.0 + tolerance
 
 
-def _is_scaling_row(row) -> bool:
-    """A leaf scaling entry (``{"seconds": ...}``) vs a backend subtree."""
-    return isinstance(row, dict) and "seconds" in row
-
-
 #: Sections the flattener understands; anything else dict-valued in a
 #: report is assumed to come from a newer schema and is skipped (with a
 #: warning when the caller provides one) instead of crashing the gate.
@@ -598,10 +573,7 @@ def _flatten(report: dict, warn=None) -> dict:
         out[f"end_to_end/{net}"] = _seconds(report, f"end_to_end/{net}", row)
     for name, row in report.get("micro", {}).items():
         out[f"micro/{name}"] = _seconds(report, f"micro/{name}", row)
-    # merge_sweep arrived with schema 4, pipeline_sweep with 5,
-    # grid_sweep with 6, locality_sweep/delta_rerun with 7.  Absent from
-    # older reports, so an old-baseline pairing simply never sees these
-    # names.  Only the wall-clock 'seconds' is gated; evidence keys
+    # Only the wall-clock 'seconds' is gated; evidence keys
     # (sim_summa_bcast, speedup, dirty_fraction) stay out of the flat
     # view.
     for section in (
@@ -612,24 +584,11 @@ def _flatten(report: dict, warn=None) -> dict:
             out[f"{section}/{cell}"] = _seconds(
                 report, f"{section}/{cell}", row
             )
-    for net, counts in report.get("scaling", {}).items():
-        for key, row in counts.items():
-            if _is_scaling_row(row):
-                # Schema 2: process-only sweep, scaling/{net}/w{N}.
-                out[f"scaling/{net}/{key}"] = _seconds(
-                    report, f"scaling/{net}/{key}", row
-                )
-            else:
-                # Schema 3: per-backend sweep.  The process rows also get
-                # the schema-2 legacy names so a version-2 baseline still
-                # pairs with a version-3 report (and vice versa).
-                for wk, leaf in row.items():
-                    sec = _seconds(
-                        report, f"scaling/{net}/{key}/{wk}", leaf
-                    )
-                    out[f"scaling/{net}/{key}/{wk}"] = sec
-                    if key == "process":
-                        out.setdefault(f"scaling/{net}/{wk}", sec)
+    for net, backends in report.get("scaling", {}).items():
+        for be, rows in backends.items():
+            for wk, row in rows.items():
+                name = f"scaling/{net}/{be}/{wk}"
+                out[name] = _seconds(report, name, row)
     if warn is not None:
         for section, rows in report.items():
             if isinstance(rows, dict) and section not in FLAT_SECTIONS:
@@ -648,10 +607,16 @@ def compare_reports(
 
     ``warn`` (a callable taking one message) hears about sections either
     report carries that this harness does not understand — a newer
-    baseline against an older harness skips them instead of crashing.
+    baseline against an older harness skips them instead of crashing —
+    and, once per row, about baseline rows the current report lacks.
     """
     cur = _flatten(current, warn=warn)
     base = _flatten(baseline, warn=warn)
+    if warn is not None:
+        for name in base:
+            if name not in cur:
+                warn(f"baseline row {name} has no counterpart in this "
+                     "report; not compared")
     return [
         Comparison(name, base[name], cur[name])
         for name in base
@@ -754,16 +719,6 @@ def remeasure_into(
                     float(rerow["seconds"]), float(fresh[kind]["seconds"])
                 )
             return True
-        elif parts[0] == "scaling" and len(parts) == 3:
-            # Legacy schema-2 name: the process-backend sweep.
-            net, wk = parts[1], parts[2]
-            sec = bench_end_to_end(
-                net, repeats=1, workers=int(wk[1:]), backend="process"
-            )["seconds"]
-            counts = report["scaling"][net]
-            row = counts[wk] if _is_scaling_row(counts.get(wk)) else (
-                counts["process"][wk]
-            )
         elif parts[0] == "scaling" and len(parts) == 4:
             net, be, wk = parts[1], parts[2], parts[3]
             sec = bench_end_to_end(
@@ -795,9 +750,6 @@ def trace_benchmark(name: str, workers: int | str | None = None):
         if parts[0] == "end_to_end" and len(parts) == 2:
             bench_end_to_end(parts[1], repeats=1, workers=workers,
                              trace=tracer)
-        elif parts[0] == "scaling" and len(parts) == 3:
-            bench_end_to_end(parts[1], repeats=1, workers=int(parts[2][1:]),
-                             backend="process", trace=tracer)
         elif parts[0] == "scaling" and len(parts) == 4:
             bench_end_to_end(parts[1], repeats=1, workers=int(parts[3][1:]),
                              backend=parts[2], trace=tracer)
@@ -860,9 +812,6 @@ def validate_report(report) -> list[str]:
                 problems.append(
                     f"{section}/{name} lacks a numeric 'seconds' field"
                 )
-    # merge_sweep arrived with schema 4, pipeline_sweep with schema 5,
-    # grid_sweep with schema 6, locality_sweep/delta_rerun with schema
-    # 7; older reports simply lack them.
     for section in (
         "merge_sweep", "pipeline_sweep", "grid_sweep",
         "locality_sweep", "delta_rerun",
@@ -885,28 +834,22 @@ def validate_report(report) -> list[str]:
     if not isinstance(scaling, dict):
         problems.append("malformed 'scaling' section")
     else:
-        for net, counts in scaling.items():
-            if not isinstance(counts, dict):
+        for net, backends in scaling.items():
+            if not isinstance(backends, dict):
                 problems.append(f"scaling/{net} is not an object")
                 continue
-            for key, row in counts.items():
-                if _is_scaling_row(row):
-                    leaves = {f"scaling/{net}/{key}": row}
-                elif isinstance(row, dict):
-                    leaves = {
-                        f"scaling/{net}/{key}/{wk}": leaf
-                        for wk, leaf in row.items()
-                    }
-                else:
-                    problems.append(f"scaling/{net}/{key} is not an object")
+            for be, rows in backends.items():
+                if not isinstance(rows, dict):
+                    problems.append(f"scaling/{net}/{be} is not an object")
                     continue
-                for leaf_name, leaf in leaves.items():
+                for wk, row in rows.items():
                     if not (
-                        isinstance(leaf, dict)
-                        and isinstance(leaf.get("seconds"), (int, float))
+                        isinstance(row, dict)
+                        and isinstance(row.get("seconds"), (int, float))
                     ):
                         problems.append(
-                            f"{leaf_name} lacks a numeric 'seconds' field"
+                            f"scaling/{net}/{be}/{wk} lacks a numeric "
+                            "'seconds' field"
                         )
     return problems
 

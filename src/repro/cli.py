@@ -99,15 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     clu.add_argument(
         "--workers", metavar="N",
-        help="worker processes for the wall-clock execution backend "
+        help="worker threads for the wall-clock execution backend "
         "('auto' = one per core; distributed modes only; results are "
         "bit-identical for any value; default: REPRO_WORKERS or serial)",
     )
     clu.add_argument(
-        "--backend", choices=["serial", "thread", "process"],
-        help="wall-clock pool flavor for --workers: threads (zero-copy) "
-        "or processes (shared-memory transport); results are "
-        "bit-identical either way (default: REPRO_BACKEND or process)",
+        "--backend", choices=["serial", "thread"],
+        help="wall-clock execution for --workers: a zero-copy thread "
+        "pool, or serial to force inline execution; results are "
+        "bit-identical either way (default: REPRO_BACKEND or thread)",
     )
     clu.add_argument(
         "--overlap", action="store_true", default=None,
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--workers", metavar="N",
                      help="pool workers (see cluster --workers)")
-    rec.add_argument("--backend", choices=["serial", "thread", "process"])
+    rec.add_argument("--backend", choices=["serial", "thread"])
     rec.add_argument(
         "--reorder", choices=["none", "degree", "rcm", "community"],
         default=None, help="locality layout strategy (see cluster)",
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument("--workers", metavar="N",
                      help="pool workers for each job (see cluster --workers)")
-    srv.add_argument("--backend", choices=["serial", "thread", "process"])
+    srv.add_argument("--backend", choices=["serial", "thread"])
     srv.add_argument("--merge-impl",
                      choices=["serial", "tree", "hash", "auto"])
 

@@ -14,9 +14,7 @@ partitioner consult :func:`active_layout` and, when one is armed,
 
 Neither lever changes a single floating-point operation's order within a
 row or a column, so armed runs are bit-identical to unarmed runs.  The
-context is process-local: process-pool workers run their slabs without
-it (the parent still balances their boundaries), thread workers inherit
-it.
+context is a module global, so pool worker threads inherit it.
 """
 
 from __future__ import annotations

@@ -618,9 +618,9 @@ def hipmcl(
         under one backend resumes under any other.  ``workers`` is the
         number of pool workers to fan independent SUMMA local products
         and per-column prunes across (default ``REPRO_WORKERS``, else
-        serial); ``backend`` picks the pool flavor — ``"thread"``
-        (zero-copy, GIL-released kernels) or ``"process"`` (shared-memory
-        transport) — defaulting to ``REPRO_BACKEND``, else processes;
+        serial); ``backend`` is ``"thread"`` (a zero-copy pool whose
+        numpy kernels release the GIL) or ``"serial"`` (inline even when
+        ``workers > 1``), defaulting to ``REPRO_BACKEND``, else threads;
         ``overlap`` arms the engine's pipelined stage-overlap scheduler
         (default ``REPRO_OVERLAP``, else off), bounded by the configured
         memory budget.  Every combination produces bit-identical
@@ -951,7 +951,7 @@ def _hipmcl_run(
             pruned_blocks = {}
             # The §II per-column prune protocol is pure (all clock and
             # exchange accounting happens below, serially), so with a
-            # process executor every block column prunes concurrently;
+            # pool executor every block column prunes concurrently;
             # results are consumed in the usual j order.
             batched_prune = None
             if executor.workers > 1 and options.recover_number == 0:

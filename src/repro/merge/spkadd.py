@@ -162,8 +162,7 @@ def merge_range(strategy, shape, lo, hi, lists):
 
     Returns ``(cols, rows, vals, n_in)`` where ``n_in`` is the number of
     input elements that fell inside the range (the partition's share of
-    the merge, for peak accounting).  Works on raw slices so it is cheap
-    to ship to a process worker.
+    the merge, for peak accounting).
     """
     nrows = shape[0]
     keys, vals = [], []

@@ -5,17 +5,12 @@ stage-k multiplies with stage-(k+1) broadcasts) runs on simulated clocks;
 this package makes the *wall-clock* scale with cores too.  An
 :class:`~repro.parallel.executor.Executor` fans genuinely independent work
 units — per-block local SpGEMMs, per-block-column prunes, per-column-slab
-kernel batches — across a persistent pool.  Two pool kinds implement the
-protocol:
+kernel batches — across a persistent thread pool
+(:class:`~repro.parallel.threads.ThreadExecutor`) in the parent's address
+space: zero-copy task passing, shared matrix caches, parallelism from
+numpy's GIL-released sections.
 
-* ``backend="process"`` — a ``multiprocessing`` pool moving CSC blocks
-  through POSIX shared memory (zero-pickle ``indptr/indices/data``) with
-  a pickling fallback for small blocks;
-* ``backend="thread"`` — a thread pool in the parent's address space:
-  zero-copy task passing, shared matrix caches, parallelism from numpy's
-  GIL-released sections.
-
-Both offer an asynchronous ``submit_batch``; the SUMMA engine's overlap
+The pool offers an asynchronous ``submit_batch``; the SUMMA engine's overlap
 scheduler (``overlap=True``) uses it to run the stage-k merge in the
 parent concurrently with the stage-(k+1) local multiplies in the pool.
 
@@ -35,15 +30,13 @@ Backend selection, in precedence order (each axis independently):
 2. the ``REPRO_WORKERS`` / ``REPRO_BACKEND`` / ``REPRO_OVERLAP``
    environment variables (``REPRO_WORKERS=auto``/``0`` means one worker
    per usable core);
-3. the defaults: serial execution (one worker), process pools when a
+3. the defaults: serial execution (one worker), a thread pool when a
    count is given without a backend, no stage overlap.
 """
 
 from .executor import (
     BACKENDS,
     BatchHandle,
-    ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     get_executor,
     in_worker,
@@ -52,19 +45,16 @@ from .executor import (
     resolve_workers,
     shutdown_executors,
 )
-from .shm import SHM_MIN_BYTES
 from .threads import ThreadExecutor
 
 #: Structural protocol: anything with ``.workers``, ``.run_batch``,
 #: ``.submit_batch`` and ``.close``.
-Executor = SerialExecutor | ThreadExecutor | ProcessExecutor
+Executor = SerialExecutor | ThreadExecutor
 
 __all__ = [
     "BACKENDS",
     "BatchHandle",
     "Executor",
-    "ExecutorError",
-    "ProcessExecutor",
     "SerialExecutor",
     "ThreadExecutor",
     "get_executor",
@@ -73,5 +63,4 @@ __all__ = [
     "resolve_overlap",
     "resolve_workers",
     "shutdown_executors",
-    "SHM_MIN_BYTES",
 ]

@@ -1,10 +1,9 @@
-"""Thread-pool executor: shared-address-space sibling of ProcessExecutor.
+"""Thread-pool executor: the one worker pool.
 
-A :class:`ThreadExecutor` runs the same pure work units as the process
-pool but inside the parent's address space, so
+A :class:`ThreadExecutor` runs the pure work units of
+:mod:`repro.parallel.work` inside the parent's address space, so
 
-* task arguments and results cross **zero-copy** — no shared-memory
-  transport, no pickling, no descriptor round-trips;
+* task arguments and results cross **zero-copy** — no pickling;
 * the identity-keyed caches (``column_lengths``, :func:`repro.perf.cache.
   memo`, the memoized DCSC conversions) warmed by a worker are warm for
   the parent's accounting pass too — the single-flight discipline in
@@ -13,8 +12,7 @@ pool but inside the parent's address space, so
 * the useful parallelism comes from numpy releasing the GIL in its hot
   sections (the Nagasaka et al. observation that shared-memory threading
   is where single-node SpGEMM headroom lives); pure-Python stretches
-  serialize, so the thread backend shines on transport-bound workloads
-  where the process pool's export/import overhead dominates.
+  serialize.
 
 Determinism is inherited from the protocol: results are gathered in task
 order, every fault draw and clock charge stays in the caller, so
@@ -74,8 +72,7 @@ class _ThreadBatch(BatchHandle):
 class ThreadExecutor:
     """A persistent ``workers``-thread pool with zero-copy task passing.
 
-    Mirrors :class:`~repro.parallel.executor.ProcessExecutor`'s lifecycle:
-    the pool is created lazily on the first batch, reused across batches,
+    The pool is created lazily on the first batch, reused across batches,
     and restarts lazily after :meth:`close`.  Worker threads share every
     process-global (the fast-path dispatch flag, matrix caches), so no
     per-batch state synchronization is needed.

@@ -1,11 +1,10 @@
 """The work units the executor fans out.
 
-Every function here is a *pure* top-level function of real matrices (the
-transport layer has already materialized shared-memory handles by the time
-they run): no fault-injection draws, no simulated-clock access, no global
-accumulation.  That purity is what lets the engine run them in any process
-and still guarantee bit-identical results — all modeled accounting happens
-afterwards, serially, in the parent.
+Every function here is a *pure* top-level function of real matrices: no
+fault-injection draws, no simulated-clock access, no global accumulation.
+That purity is what lets the engine run them on any worker thread and
+still guarantee bit-identical results — all modeled accounting happens
+afterwards, serially, in the caller.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ import numpy as np
 
 from ..sparse import CSCMatrix, hstack_csc
 
-#: Below this many flops a one-shot SpGEMM beats any fan-out: the slab
-#: export/attach round-trips would dominate.  Calibrated against the
-#: shared-memory transport cost (~1 ms/batch), not the kernel.
+#: Below this many flops a one-shot SpGEMM beats any fan-out: the
+#: per-batch dispatch and slab stitching would dominate.
 PARALLEL_MIN_FLOPS = 1 << 21
 
 #: Flop-equivalent fixed cost charged per column when the locality layout
@@ -126,16 +124,13 @@ def probe_state():
     import os
     import threading
 
-    from ..perf import dispatch
     from .executor import get_executor, in_worker
 
     return {
         "pid": os.getpid(),
         "thread": threading.get_ident(),
         "in_worker": in_worker(),
-        "fast_paths": dispatch.enabled(),
-        "nested_executor": type(get_executor(4)).__name__,
-        "nested_thread_executor": type(
+        "nested_executor": type(
             get_executor(4, backend="thread")
         ).__name__,
     }

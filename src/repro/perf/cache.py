@@ -1,7 +1,7 @@
 """Matrix-keyed memo cache with single-flight concurrency discipline.
 
 Derived quantities (per-column flops profiles, DCSC footprints, phase
-slabs, shared-memory exports) ride on the matrix instance they describe:
+slabs) ride on the matrix instance they describe:
 the memo store lives in the matrix's ``_memo`` slot, so the cache key *is*
 the matrix identity and the entry's lifetime is the matrix's lifetime.
 HipMCL squares its iterate — the same ``DistributedCSC`` blocks serve as

@@ -28,9 +28,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ServiceError
+from ..errors import ReproError, ServiceError
+from ..locality.reorder import resolve_reorder
 from ..mcl.hipmcl import HipMCLConfig
 from ..mcl.options import MclOptions
+from ..merge.spkadd import resolve_merge_impl
+from ..parallel import resolve_backend, resolve_overlap, resolve_workers
 from ..resilience.checkpoint import config_fingerprint
 
 #: Distributed driver modes a job may request (the CLI's --mode choices
@@ -101,6 +104,20 @@ class JobSpec:
             raise ServiceError(
                 f"unknown job mode {self.mode!r}; options: {list(JOB_MODES)}"
             )
+        # Reject bad wall-clock knobs at submit time: ``hipmcl`` would
+        # only resolve them once a runner has claimed the job.
+        for value, resolve in (
+            (self.workers, resolve_workers),
+            (self.backend, resolve_backend),
+            (self.overlap, resolve_overlap),
+            (self.merge_impl, resolve_merge_impl),
+            (self.reorder, resolve_reorder),
+        ):
+            if value is not None:
+                try:
+                    resolve(value)
+                except (ReproError, TypeError, ValueError) as exc:
+                    raise ServiceError(f"bad job knob: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)

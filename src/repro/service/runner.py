@@ -122,8 +122,8 @@ class ServiceRunner:
     # -- one job ---------------------------------------------------------
 
     def _process(self, job) -> str:
-        spec = JobSpec.from_dict(job.spec)
         try:
+            spec = JobSpec.from_dict(job.spec)
             matrix, _vertex_labels = spec.load_graph()
             options = spec.build_options()
             config = spec.build_config()

@@ -24,8 +24,8 @@ class CSCMatrix:
     holds row ids.
     """
 
-    #: ``__weakref__`` lets the parallel layer's shared-memory transport
-    #: tie a segment's lifetime to the matrix it exports (weakref.finalize).
+    #: ``__weakref__`` lets the locality layer key its plan cache on the
+    #: matrix (a WeakKeyDictionary) without keeping it alive.
     __slots__ = (
         "shape", "indptr", "indices", "data", "_lens", "_memo",
         "__weakref__",

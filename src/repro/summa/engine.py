@@ -388,9 +388,8 @@ def summa_multiply(
     combination is bit-identical to ``workers=1``.
 
     ``overlap`` (default ``REPRO_OVERLAP``, else off) arms the pipelined
-    stage-overlap scheduler: the stage-(k+1) batch — its B phase slabs,
-    and with the process backend their shared-memory exports — is built
-    and submitted *before* the parent runs the stage-k accounting pass,
+    stage-overlap scheduler: the stage-(k+1) batch — its B phase slabs —
+    is built and submitted *before* the parent runs the stage-k accounting pass,
     so the pool computes the next stage's local multiplies while the
     parent merges the previous stage's intermediates.  The in-flight
     window is double-buffered at most and shrinks to 1 when
@@ -704,9 +703,8 @@ def summa_multiply(
         # Stages prepared ahead of the serial pass: k -> (slabs, slab
         # byte counts, batched (i, j) pairs, in-flight batch handle).
         # Preparing a stage builds (or memo-hits) its B phase slabs and
-        # submits its local-multiply batch — with the process backend the
-        # submit itself performs the shared-memory slab exports, so
-        # preparing stage k+1 early is exactly the §III prefetch.
+        # submits its local-multiply batch, so preparing stage k+1 early
+        # is exactly the §III prefetch.
         staged: dict[int, tuple] = {}
 
         def submit_stage(k: int, prefetch: bool = False) -> None:

@@ -11,9 +11,8 @@ stream of point samples, across every layer of a run:
 * SpGEMM kernel dispatch: the chosen kernel, ``flops``, ``cf``;
 * ``hipmcl`` iterations: estimation (bound vs actual), expansion,
   pruning, inflation, ``nnz``/``chaos`` per iteration;
-* the executor layer: per-task worker spans (collected inside thread
-  *and* process workers, stitched into the parent trace at gather),
-  including shared-memory export/attach costs;
+* the executor layer: per-task worker spans, each recorded in its
+  worker thread's own lane;
 * resilience events: faults injected, recovery rungs taken.
 
 Tracing is **off by default and free when off**: instrumentation sites
@@ -28,7 +27,7 @@ Typical use::
 
     tracer = Tracer()
     result = hipmcl(matrix, options, config, trace=tracer,
-                    backend="process", workers=4, overlap=True)
+                    backend="thread", workers=4, overlap=True)
     write_chrome_trace(tracer, "trace.json")   # load in Perfetto
 
 or from the CLI: ``python -m repro cluster net.mtx --mode optimized
@@ -41,7 +40,6 @@ from .export import (
     link_overlap_report,
     merge_report,
     overlap_pairs,
-    spans_from_dicts,
     summarize,
     write_chrome_trace,
     write_metrics,
@@ -75,7 +73,6 @@ __all__ = [
     "overlap_pairs",
     "read_metrics_ndjson",
     "set_tracer",
-    "spans_from_dicts",
     "summarize",
     "tracing_enabled",
     "worker_lane_name",

@@ -319,25 +319,6 @@ def summarize(tracer: Tracer) -> str:
     return "\n".join(lines)
 
 
-def spans_from_dicts(rows: list[dict]) -> list[Span]:
-    """Rebuild spans from :meth:`Span.to_dict` rows (process transport)."""
-    return [
-        Span(
-            id=r["id"],
-            parent=r["parent"],
-            name=r["name"],
-            cat=r["cat"],
-            lane=r["lane"],
-            t0_wall=r["t0_wall"],
-            t1_wall=r["t1_wall"],
-            t0_sim=r["t0_sim"],
-            t1_sim=r["t1_sim"],
-            attrs=dict(r["attrs"]),
-        )
-        for r in rows
-    ]
-
-
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
@@ -346,7 +327,6 @@ __all__ = [
     "link_overlap_report",
     "merge_report",
     "summarize",
-    "spans_from_dicts",
     "MetricEvent",
     "write_metrics_ndjson",
 ]

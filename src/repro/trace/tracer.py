@@ -19,16 +19,14 @@ runs.  Two design rules keep it safe to leave in the hot paths:
   ``(backend, workers, overlap)`` matrix.
 
 Every span carries two clocks: the wall interval (``t0_wall``/``t1_wall``,
-``perf_counter`` seconds — comparable across forked worker processes on
-Linux, where ``CLOCK_MONOTONIC`` is system-wide) and, when the tracer has
-a ``sim_clock`` (the HipMCL driver installs ``comm.elapsed``), the
-simulated interval (``t0_sim``/``t1_sim``).  Worker-side spans have no
-simulated clock (all modeled accounting happens in the parent) and carry
-``None`` there.
+``perf_counter`` seconds) and, when the tracer has a ``sim_clock``
+(``hipmcl`` installs ``comm.elapsed``), the simulated interval
+(``t0_sim``/``t1_sim``).  Worker-side spans have no simulated clock (all
+modeled accounting happens in the caller) and carry ``None`` there.
 
 Lanes: each span records the lane it ran in (``"main"``, or the worker
-thread/process name).  The Chrome-trace export maps lanes to Perfetto
-tracks, which is how the stage-overlap timeline becomes visible — the
+thread name).  The Chrome-trace export maps lanes to Perfetto tracks,
+which is how the stage-overlap timeline becomes visible — the
 stage-(k+1) ``local_multiply`` spans in the worker lanes run under the
 parent lane's stage-k ``merge`` span.
 """
@@ -36,7 +34,6 @@ parent lane's stage-k ``merge`` span.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -77,20 +74,6 @@ class Span:
         return (
             self.t0_wall < other.t1_wall and other.t0_wall < self.t1_wall
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "parent": self.parent,
-            "name": self.name,
-            "cat": self.cat,
-            "lane": self.lane,
-            "t0_wall": self.t0_wall,
-            "t1_wall": self.t1_wall,
-            "t0_sim": self.t0_sim,
-            "t1_sim": self.t1_sim,
-            "attrs": dict(self.attrs),
-        }
 
 
 class _LiveSpan:
@@ -298,28 +281,6 @@ class Tracer:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
 
-    # -- worker stitching -------------------------------------------------
-
-    def graft(self, spans: list[Span], parent: int | None = None) -> None:
-        """Stitch worker-recorded spans into this trace.
-
-        Ids are re-assigned (the worker's counter is private to it) while
-        the spans' *internal* parent links are preserved; worker root
-        spans attach under ``parent`` (usually the gather span), keeping
-        their own lanes so the export draws them as separate tracks.
-        """
-        mapping: dict[int, int] = {}
-        renumbered = []
-        for s in spans:
-            new_id = next(self._ids)
-            mapping[s.id] = new_id
-            renumbered.append(s)
-        with self._lock:
-            for s in renumbered:
-                s.parent = mapping.get(s.parent, parent)
-                s.id = mapping[s.id]
-                self.spans.append(s)
-
     # -- views -----------------------------------------------------------
 
     def find(self, name: str | None = None, **attrs) -> list[Span]:
@@ -398,11 +359,5 @@ def maybe_span(name: str, cat: str = "repro", **attrs):
 
 
 def worker_lane_name() -> str:
-    """A stable lane name for the current worker process/thread."""
-    thread = threading.current_thread().name
-    if os.getpid() != _PARENT_PID:
-        return f"worker-pid{os.getpid()}"
-    return f"worker-{thread}"
-
-
-_PARENT_PID = os.getpid()
+    """A stable lane name for the current worker thread."""
+    return f"worker-{threading.current_thread().name}"

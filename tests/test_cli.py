@@ -68,12 +68,23 @@ def test_cluster_backend_overlap_flags(tmp_path, capsys):
     ]
     assert main(base_args) == 0
     expected = capsys.readouterr().out
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "thread"):
         args = base_args + [
             "--workers", "2", "--backend", backend, "--overlap",
         ]
         assert main(args) == 0
         assert capsys.readouterr().out == expected
+    # Threads are the only pool: argparse rejects the old process value
+    # on every subcommand that takes --backend.
+    for argv in (
+        base_args,
+        ["recluster", str(net_path), "delta.txt"],
+        ["serve", str(tmp_path / "svc")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", "process"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
 
 
 def test_cluster_schedule_flag(tmp_path, capsys):

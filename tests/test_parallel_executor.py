@@ -1,20 +1,14 @@
-"""The execution layer's contracts: resolution, pools, transport, crashes.
+"""The execution layer's contracts: resolution, pools, ordering, nesting.
 
-Everything here runs the real ``multiprocessing`` machinery (workers=2,
-tiny matrices), so the tests certify the actual fork/shared-memory path —
-not a mock — while staying fast enough for tier 1.
+Everything here runs the real thread pool (workers=2, tiny tasks), not a
+mock, while staying fast enough for tier 1.
 """
 
 import os
-import time
 
-import numpy as np
 import pytest
 
 from repro.parallel import (
-    SHM_MIN_BYTES,
-    ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     get_executor,
@@ -24,10 +18,7 @@ from repro.parallel import (
     shutdown_executors,
 )
 from repro.parallel import executor as executor_mod
-from repro.parallel import shm
-from repro.parallel.work import local_multiply, probe_state
-from repro.perf import dispatch
-from repro.sparse import random_csc
+from repro.parallel.work import probe_state
 
 
 @pytest.fixture(autouse=True)
@@ -72,19 +63,22 @@ class TestResolveBackend:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_OVERLAP", raising=False)
 
-    def test_default_is_process(self):
-        assert resolve_backend() == "process"
-        assert resolve_backend(None) == "process"
+    def test_default_is_thread(self):
+        assert resolve_backend() == "thread"
+        assert resolve_backend(None) == "thread"
 
     def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert resolve_backend("process") == "process"
-        assert resolve_backend() == "thread"
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert resolve_backend("thread") == "thread"
+        assert resolve_backend() == "serial"
 
-    @pytest.mark.parametrize("bad", ["threads", "mpi", "2"])
-    def test_invalid_backend_rejected(self, bad):
-        with pytest.raises(ValueError, match="backend"):
+    @pytest.mark.parametrize("bad", ["threads", "mpi", "2", "process"])
+    def test_invalid_backend_rejected(self, bad, monkeypatch):
+        with pytest.raises(ValueError, match="backend.*options"):
             resolve_backend(bad)
+        monkeypatch.setenv("REPRO_BACKEND", bad)
+        with pytest.raises(ValueError, match="backend.*options"):
+            resolve_backend()
 
     def test_overlap_defaults_off(self):
         assert resolve_overlap() is False
@@ -118,20 +112,18 @@ class TestGetExecutor:
         assert isinstance(get_executor(1), SerialExecutor)
         assert get_executor(1) is get_executor(None)
 
-    def test_process_pools_cached_per_count(self):
+    def test_default_pool_is_a_cached_thread_pool(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         ex2 = get_executor(2)
-        assert isinstance(ex2, ProcessExecutor)
+        assert isinstance(ex2, ThreadExecutor)
         assert ex2.workers == 2
         assert get_executor(2) is ex2
+        assert get_executor(2, backend="thread") is ex2
         assert get_executor(3) is not ex2
 
     def test_environment_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert get_executor().workers == 2
-
-    def test_process_executor_rejects_single_worker(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            ProcessExecutor(1)
 
 
 class TestSerialExecutor:
@@ -141,135 +133,6 @@ class TestSerialExecutor:
         out = ex.run_batch(pow, [(2, 3), (3, 2)])
         assert out == [8, 9]
         ex.close()  # no-op
-
-
-def _pid_slowly():
-    time.sleep(0.05)  # long enough for both workers to pick up tasks
-    return os.getpid()
-
-
-class TestProcessExecutor:
-    def test_batch_results_in_task_order(self):
-        ex = get_executor(2)
-        out = ex.run_batch(pow, [(i, 2) for i in range(10)])
-        assert out == [i * i for i in range(10)]
-
-    def test_empty_batch(self):
-        assert get_executor(2).run_batch(pow, []) == []
-
-    def test_pool_persists_across_batches(self):
-        # Instant tasks can all land on one worker, so the per-batch pid
-        # *sets* may differ even with zero respawns; the persistence
-        # contract is that the union never exceeds the pool size.
-        ex = get_executor(2)
-        pids1 = set(ex.run_batch(_pid_slowly, [()] * 4))
-        pids2 = set(ex.run_batch(_pid_slowly, [()] * 4))
-        assert len(pids1 | pids2) <= ex.workers  # no respawn
-        assert os.getpid() not in pids1 | pids2
-
-    def test_close_then_reuse_restarts_lazily(self):
-        ex = get_executor(2)
-        assert ex.run_batch(pow, [(2, 2)]) == [4]
-        ex.close()
-        assert ex._pool is None
-        assert ex.run_batch(pow, [(2, 5)]) == [32]
-
-    def test_worker_crash_raises_and_pool_recovers(self):
-        ex = get_executor(2)
-        with pytest.raises(ExecutorError, match="REPRO_WORKERS=1"):
-            ex.run_batch(os._exit, [(3,)])
-        assert ex._pool is None  # broken pool discarded...
-        assert ex.run_batch(pow, [(2, 4)]) == [16]  # ...and restarted
-
-    def test_nested_parallelism_degrades_to_serial(self):
-        ex = get_executor(2)
-        states = ex.run_batch(probe_state, [()])
-        assert states[0]["in_worker"] is True
-        assert states[0]["nested_executor"] == "SerialExecutor"
-        # A *thread* executor requested inside a process worker must
-        # degrade too — the worker is already one lane of a fan-out.
-        assert states[0]["nested_thread_executor"] == "SerialExecutor"
-        # The parent itself is not a worker.
-        me = probe_state()
-        assert me["in_worker"] is False
-        assert me["nested_executor"] == "ProcessExecutor"
-
-    def test_fast_path_flag_propagates_per_batch(self):
-        ex = get_executor(2)
-        try:
-            dispatch.set_fast_paths(False)
-            assert not ex.run_batch(probe_state, [()])[0]["fast_paths"]
-            dispatch.set_fast_paths(True)
-            assert ex.run_batch(probe_state, [()])[0]["fast_paths"]
-        finally:
-            dispatch.set_fast_paths(True)
-
-
-# ---------------------------------------------------------------------------
-# Bounded lazy restarts (the crash-streak escalation)
-# ---------------------------------------------------------------------------
-
-
-class TestRestartBound:
-    def _crash(self, ex):
-        with pytest.raises(ExecutorError, match="worker died"):
-            ex.run_batch(os._exit, [(3,)])
-
-    def test_streak_past_budget_turns_terminal(self):
-        ex = ProcessExecutor(2, max_restarts=1, restart_backoff=0.0)
-        try:
-            self._crash(ex)  # streak 1: restart still allowed
-            self._crash(ex)  # streak 2: budget spent
-            # The next batch must not burn another restart: it fails
-            # *before* building a pool, with the terminal diagnosis.
-            with pytest.raises(ExecutorError, match="giving up"):
-                ex.run_batch(pow, [(2, 2)])
-            assert ex._pool is None  # never rebuilt
-        finally:
-            ex.reset()
-            ex.close()
-
-    def test_successful_batch_resets_the_streak(self):
-        ex = ProcessExecutor(2, max_restarts=1, restart_backoff=0.0)
-        try:
-            self._crash(ex)
-            assert ex.run_batch(pow, [(2, 3)]) == [8]  # forgives the past
-            assert ex._crash_streak == 0
-            self._crash(ex)  # a fresh streak gets a fresh budget
-            assert ex.run_batch(pow, [(2, 4)]) == [16]
-        finally:
-            ex.close()
-
-    def test_reset_rearms_a_terminal_executor(self):
-        ex = ProcessExecutor(2, max_restarts=0, restart_backoff=0.0)
-        try:
-            self._crash(ex)
-            with pytest.raises(ExecutorError, match="giving up"):
-                ex.run_batch(pow, [(2, 2)])
-            ex.reset()
-            assert ex.run_batch(pow, [(2, 5)]) == [32]
-        finally:
-            ex.close()
-
-    def test_restart_backoff_grows_exponentially(self, monkeypatch):
-        waits = []
-        monkeypatch.setattr(time, "sleep", waits.append)
-        ex = ProcessExecutor(2, max_restarts=3, restart_backoff=0.5)
-        try:
-            self._crash(ex)
-            self._crash(ex)
-            self._crash(ex)
-        finally:
-            monkeypatch.undo()
-            ex.reset()
-            ex.close()
-        # Restart k in the streak waits base * 2**(k-1); the first pool
-        # build (streak 0) waits nothing.
-        assert waits == [0.5, 1.0]
-
-    def test_negative_max_restarts_rejected(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            ProcessExecutor(2, max_restarts=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +147,6 @@ class TestThreadExecutor:
         assert ex.workers == 2
         assert get_executor(2, backend="thread") is ex
         assert get_executor(3, backend="thread") is not ex
-        # Different backend, same count: a distinct executor.
-        assert isinstance(get_executor(2, backend="process"),
-                          ProcessExecutor)
 
     def test_serial_backend_forces_inline(self):
         assert isinstance(get_executor(4, backend="serial"),
@@ -332,12 +192,11 @@ class TestThreadExecutor:
         for state in states:
             assert state["in_worker"] is True
             assert state["nested_executor"] == "SerialExecutor"
-            assert state["nested_thread_executor"] == "SerialExecutor"
         # The guard is thread-local: once the batch is done, the parent
         # thread is unaffected.
         me = probe_state()
         assert me["in_worker"] is False
-        assert me["nested_thread_executor"] == "ThreadExecutor"
+        assert me["nested_executor"] == "ThreadExecutor"
 
     def test_task_error_propagates(self):
         ex = get_executor(2, backend="thread")
@@ -359,9 +218,8 @@ class TestSubmitBatch:
         assert handle.result() == [0, 10]
         assert calls == [0, 1]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_handles_overlap_in_flight(self, backend):
-        ex = get_executor(2, backend=backend)
+    def test_pool_handles_overlap_in_flight(self):
+        ex = get_executor(2, backend="thread")
         first = ex.submit_batch(pow, [(i, 2) for i in range(4)])
         second = ex.submit_batch(pow, [(i, 3) for i in range(4)])
         # Gather out of submission order: both batches complete.
@@ -370,76 +228,8 @@ class TestSubmitBatch:
         assert first.result() == [i**2 for i in range(4)]  # idempotent
 
 
-# ---------------------------------------------------------------------------
-# Shared-memory transport
-# ---------------------------------------------------------------------------
-
-
-def _same_csc(x, y):
-    return (
-        x.shape == y.shape
-        and np.array_equal(x.indptr, y.indptr)
-        and np.array_equal(x.indices, y.indices)
-        and np.array_equal(
-            x.data.view(np.uint64), y.data.view(np.uint64)
-        )
-    )
-
-
-class TestTransport:
-    def test_small_blocks_pickle(self):
-        mat = random_csc((8, 8), 0.2, seed=1)
-        assert mat.memory_bytes() < SHM_MIN_BYTES
-        handle = shm.export_csc(mat)
-        assert handle[0] == "pkl"
-        assert _same_csc(shm.import_csc(handle), mat)
-
-    def test_large_blocks_use_shared_memory(self):
-        mat = random_csc((400, 400), 0.1, seed=2)
-        assert mat.memory_bytes() >= SHM_MIN_BYTES
-        handle = shm.export_csc(mat)
-        assert handle[0] == "shm"
-        assert shm.export_csc(mat) is handle  # memoized per matrix
-        assert _same_csc(shm.import_csc(handle), mat)
-
-    def test_round_trip_through_a_real_worker(self):
-        a = random_csc((300, 300), 0.08, seed=3)
-        b = random_csc((300, 300), 0.08, seed=4)
-        ex = get_executor(2)
-        (product, per_col), = ex.run_batch(local_multiply, [(a, b)])
-        from repro.spgemm.esc import spgemm_esc
-        from repro.summa.engine import _per_column_flops
-
-        assert _same_csc(product, spgemm_esc(a, b))
-        assert np.array_equal(
-            per_col, _per_column_flops(a.column_lengths(), b)
-        )
-
-    def test_export_value_recurses(self):
-        mat = random_csc((10, 10), 0.3, seed=5)
-        packed = shm.export_value(([mat], 7, "tag"))
-        out = shm.import_value(packed)
-        assert _same_csc(out[0][0], mat)
-        assert out[1:] == (7, "tag")
-
-    def test_shutdown_unlinks_live_segments(self):
-        mat = random_csc((400, 400), 0.1, seed=6)
-        name = shm.export_csc(mat)[1]
-        assert os.path.exists(f"/dev/shm/{name}")
-        shutdown_executors()
-        assert not os.path.exists(f"/dev/shm/{name}")
-        mat.invalidate_caches()  # drop the stale export memo
-
-    def test_segment_unlinked_when_matrix_dies(self):
-        mat = random_csc((400, 400), 0.1, seed=7)
-        name = shm.export_csc(mat)[1]
-        assert os.path.exists(f"/dev/shm/{name}")
-        del mat
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-
 def test_module_has_atexit_shutdown():
-    """The pools and segments must not outlive the interpreter."""
+    """The pools must not outlive the interpreter."""
     import atexit
 
     # Registration happened at import; a second registration is harmless,

@@ -1,7 +1,7 @@
 """Wall-clock scaling acceptance of the multicore execution layer.
 
 These tests need real cores to mean anything: on a single-core runner a
-process pool can only add overhead, so the speedup assertion is gated on
+worker pool can only add overhead, so the speedup assertion is gated on
 the usable-core count (and on the ``tier2_scale`` marker — select with
 ``-m tier2_scale`` alongside the other tier-2 wall-clock tiers).
 """

@@ -210,9 +210,14 @@ def _report(e2e, micro):
 def test_compare_reports_pairs_by_name():
     base = _report({"net": 1.0}, {"esc": 0.010, "hash": 0.020})
     cur = _report({"net": 1.1}, {"esc": 0.014, "gone": 0.5})
-    rows = {c.name: c for c in compare_reports(cur, base)}
+    warnings = []
+    rows = {
+        c.name: c for c in compare_reports(cur, base, warn=warnings.append)
+    }
     assert set(rows) == {"end_to_end/net", "micro/esc"}
     assert rows["micro/esc"].ratio == pytest.approx(1.4)
+    # The baseline row the report lacks is named once, not dropped silently.
+    assert len(warnings) == 1 and "micro/hash" in warnings[0]
 
 
 def test_regressions_respect_tolerance():
@@ -229,39 +234,13 @@ def test_comparison_handles_zero_baseline():
     assert c.regressed(0.25)
 
 
-def test_schema3_scaling_flattens_with_legacy_aliases():
-    # Schema-3 per-backend scaling rows pair with a schema-2 baseline's
-    # process-only names, both directions.
-    from repro.bench.perfbench import validate_report
-
-    rep3 = _report({}, {})
-    rep3["schema"] = 3
-    rep3["scaling"] = {
-        "net": {
-            "thread": {"w2": {"seconds": 2.0}},
-            "process": {"w2": {"seconds": 3.0}},
-        }
-    }
-    rep2 = _report({}, {})
-    rep2["schema"] = 2
-    rep2["scaling"] = {"net": {"w2": {"seconds": 4.0}}}
-    assert validate_report(rep3) == [] and validate_report(rep2) == []
-    rows = {c.name: c for c in compare_reports(rep3, rep2)}
-    assert set(rows) == {"scaling/net/w2"}
-    assert rows["scaling/net/w2"].current == 3.0  # the process rows
-    # Schema-3 vs schema-3 pairs per backend.
-    rows3 = {c.name: c for c in compare_reports(rep3, rep3)}
-    assert "scaling/net/thread/w2" in rows3
-    assert "scaling/net/process/w2" in rows3
-
-
 def test_pipeline_sweep_flattens_and_validates():
-    # Schema 5: pipeline_sweep cells pair by name; net names contain
-    # dashes, so the cell key parses from the right ({net}-{sched}-w{N}).
+    # pipeline_sweep cells pair by name; net names contain dashes, so the
+    # cell key parses from the right ({net}-{sched}-w{N}).
     from repro.bench.perfbench import validate_report
 
     rep = _report({}, {})
-    rep["schema"] = 5
+    rep["schema"] = 7
     rep["pipeline_sweep"] = {
         "isom100-3-xs-static-w4": {"seconds": 1.5},
         "eukarya-xs-sync-w1": {"seconds": 2.0},
@@ -270,13 +249,6 @@ def test_pipeline_sweep_flattens_and_validates():
     rows = {c.name: c for c in compare_reports(rep, rep)}
     assert "pipeline_sweep/isom100-3-xs-static-w4" in rows
     assert "pipeline_sweep/eukarya-xs-sync-w1" in rows
-    # A schema-4 baseline without the section still pairs on the rest.
-    old = _report({}, {})
-    old["schema"] = 4
-    assert all(
-        not c.name.startswith("pipeline_sweep")
-        for c in compare_reports(rep, old)
-    )
     # Malformed rows are enumerated.
     rep["pipeline_sweep"]["bad-cell-w1"] = {"ms": 3}
     assert any("bad-cell-w1" in p for p in validate_report(rep))
@@ -290,11 +262,11 @@ def test_pipeline_sweep_flattens_and_validates():
 class TestBaselineValidation:
     def _valid(self):
         return {
-            "schema": 2,
+            "schema": 7,
             "end_to_end": {"net": {"seconds": 1.0}},
             "micro": {"esc": {"seconds": 0.01}},
-            "scaling": {"net": {"w1": {"seconds": 1.0},
-                                "w4": {"seconds": 0.5}}},
+            "scaling": {"net": {"thread": {"w1": {"seconds": 1.0},
+                                           "w4": {"seconds": 0.5}}}},
         }
 
     def test_valid_report_accepted(self, tmp_path):
@@ -323,12 +295,12 @@ class TestBaselineValidation:
 
     def test_malformed_sections_enumerated(self):
         problems = validate_report(
-            {"schema": 2, "end_to_end": [], "micro": {"esc": {"ms": 3}},
-             "scaling": {"net": {"w2": {"ms": 3}}}}
+            {"schema": 7, "end_to_end": [], "micro": {"esc": {"ms": 3}},
+             "scaling": {"net": {"thread": {"w2": {"ms": 3}}}}}
         )
         assert any("end_to_end" in p for p in problems)
         assert any("micro/esc" in p for p in problems)
-        assert any("scaling/net/w2" in p for p in problems)
+        assert any("scaling/net/thread/w2" in p for p in problems)
         assert validate_report([1, 2]) != []
 
     @pytest.mark.parametrize(

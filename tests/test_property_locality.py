@@ -89,7 +89,6 @@ MATRIX_PERM = _perm(MATRIX_NET.ncols, seed=123)
 CELLS = [
     ("serial", 1, "2d"),
     ("thread", 2, "2d"),
-    ("process", 2, "2d"),
     ("thread", 2, "3d"),
 ]
 CELL_IDS = [f"{be}-w{w}-{g}" for be, w, g in CELLS]

@@ -130,7 +130,7 @@ def test_spkadd_strategies_bit_identical_to_merge_lists(stream, parts):
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("thread", 2), ("thread", 4), ("process", 2),
+    ("serial", 1), ("thread", 2), ("thread", 4),
 ])
 def test_spkadd_executor_matrix_bit_identical(backend, workers):
     """The fanned-out merge is bit-identical across the pool matrix."""

@@ -194,6 +194,39 @@ class TestFailurePath:
         with pytest.raises(ServiceError, match="malformed job spec"):
             JobSpec.from_dict({"graph": "x.mtx", "warp": 9})
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"backend": "procss"},
+            {"backend": "process"},
+            {"workers": "many"},
+            {"workers": -1},
+            {"overlap": "sometimes"},
+            {"merge_impl": "quick"},
+            {"reorder": "random"},
+        ],
+    )
+    def test_bad_knob_rejected_at_spec_construction(self, knob):
+        with pytest.raises(ServiceError, match="bad job knob"):
+            JobSpec(graph="catalog:archaea-xs", **knob)
+
+    def test_stored_spec_with_bad_knob_fails_without_raising(
+        self, service, clock, net_path
+    ):
+        # A row written straight to the queue skips JobSpec validation
+        # (e.g. a spec stored before its backend was removed): the runner
+        # must park it via fail(), not crash-loop with the job `running`.
+        spec = make_spec(net_path).to_dict()
+        spec["backend"] = "process"
+        jid = service.queue.submit(spec, max_retries=0)
+        runner = make_runner(service, clock)
+        assert runner.run_once() == jid
+        assert runner.processed == [(jid, "failed-spec:failed")]
+        job = service.status(jid)
+        assert job.state == "failed"
+        assert "backend" in job.error
+        assert service.queue.inflight_bytes() == 0
+
 
 class TestProgressStream:
     def test_metrics_stream_lands_at_iteration_boundaries(

@@ -133,7 +133,7 @@ class TestSpkaddMerge:
         assert_triples_equal(out, ref)
 
     @pytest.mark.parametrize("backend,workers", [
-        ("thread", 2), ("thread", 4), ("process", 2),
+        ("thread", 2), ("thread", 4),
     ])
     @pytest.mark.parametrize("strategy", ["tree", "hash"])
     def test_executor_fanout_bit_identical(self, backend, workers, strategy):

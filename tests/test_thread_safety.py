@@ -1,8 +1,7 @@
 """Thread-safety audit of the identity-keyed caches.
 
 The thread execution backend hits the matrix-instance memo caches
-(per-column flops, phase slabs, shared-memory exports) from many pool
-threads at once.  These tests hammer each cache from a real thread pool
+(per-column flops, phase slabs) from many pool threads at once.  These tests hammer each cache from a real thread pool
 and pin the single-flight contract: a build never runs twice for a live
 key, concurrent callers all observe the one published value, and no
 caller sequenced after ``invalidate_caches()`` can observe a
@@ -162,22 +161,6 @@ class TestDerivedQuantityCaches:
                                     range(HAMMER_ROUNDS)))
         assert len(builds) == 1
         assert all(r is results[0] for r in results)
-
-    def test_shm_export_single_segment(self, mat):
-        # One export segment per matrix no matter how many threads ask.
-        from repro.parallel import shm
-
-        big = random_csc((600, 600), 0.05, seed=33)
-        assert (
-            big.indptr.nbytes + big.indices.nbytes + big.data.nbytes
-            >= shm.SHM_MIN_BYTES
-        )
-        with ThreadPoolExecutor(HAMMER_THREADS) as pool:
-            handles = list(
-                pool.map(lambda _: shm.export_csc(big),
-                         range(HAMMER_ROUNDS))
-            )
-        assert all(h is handles[0] for h in handles)
 
 
 class TestThreadLocalArena:

@@ -33,7 +33,7 @@ from repro.trace import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 OVERLAPS = (False, True)
 CELLS = [(be, ov) for be in BACKENDS for ov in OVERLAPS]
 CELL_IDS = [f"{be}-{'overlap' if ov else 'sync'}" for be, ov in CELLS]
@@ -152,9 +152,8 @@ class TestTracedMatrix:
 class TestOverlapEvidence:
     """ISSUE 5 acceptance: the trace *shows* the pipelining."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_prefetch_overlaps_previous_merge(self, traced, backend):
-        _, tracer = traced[(backend, True)]
+    def test_prefetch_overlaps_previous_merge(self, traced):
+        _, tracer = traced[("thread", True)]
         assert tracer.find("prefetch"), "armed scheduler recorded no prefetch"
         pairs = overlap_pairs(tracer)
         assert len(pairs) >= 1, (
@@ -172,7 +171,7 @@ class TestOverlapEvidence:
             assert not tracer.find("prefetch")
 
     def test_chrome_export_draws_worker_lanes(self, traced):
-        _, tracer = traced[("process", True)]
+        _, tracer = traced[("thread", True)]
         events = chrome_trace_events(tracer)
         thread_names = {
             e["args"]["name"]
@@ -191,7 +190,7 @@ class TestChaosTraced:
         ref = hipmcl(mat, opts, cfg, workers=1, faults=plan)
         tracer = Tracer()
         run = hipmcl(
-            mat, opts, cfg, workers=2, backend="process", overlap=True,
+            mat, opts, cfg, workers=2, backend="thread", overlap=True,
             faults=plan, trace=tracer,
         )
         assert run.faults_injected == ref.faults_injected
@@ -200,22 +199,6 @@ class TestChaosTraced:
         assert run.elapsed_seconds == ref.elapsed_seconds
         # Injected faults leave instants on the resilience category.
         assert any(s.cat == "resilience" for s in tracer.spans)
-
-
-class TestExecutorCrashLabel:
-    def test_error_names_the_failed_task(self):
-        import os
-
-        from repro.parallel import ExecutorError, get_executor
-
-        ex = get_executor(2)
-        with pytest.raises(ExecutorError) as err:
-            ex.run_batch(os._exit, [(3,)], label="summa phase 0 stage 2")
-        msg = str(err.value)
-        assert "summa phase 0 stage 2" in msg
-        assert "task #" in msg
-        assert "REPRO_WORKERS=1" in msg  # the bisect hint survives
-        assert ex.run_batch(pow, [(2, 4)], label="recovery") == [16]
 
 
 # ---------------------------------------------------------------------------

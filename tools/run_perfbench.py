@@ -61,9 +61,9 @@ def main(argv=None) -> int:
         "always pins its own counts",
     )
     parser.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default=None,
-        help="pool flavor for the end-to-end runs (default: REPRO_BACKEND "
-        "or process); the scaling sweep always sweeps both pool backends",
+        "--backend", choices=["serial", "thread"], default=None,
+        help="execution backend for the end-to-end runs (default: "
+        "REPRO_BACKEND or thread); the scaling sweep always uses threads",
     )
     parser.add_argument(
         "--overlap", action="store_true", default=None,
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-scaling", action="store_true",
-        help="skip the worker-scaling sweep (six extra end-to-end runs)",
+        help="skip the worker-scaling sweep (three extra end-to-end runs)",
     )
     parser.add_argument(
         "--no-pipeline", action="store_true",
@@ -91,7 +91,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="compare against the baseline and exit 1 on regression "
+        help="compare against the baseline and exit 1 on regression; "
+        "baseline rows this run did not measure are named as warnings "
         "(writes no report unless --output is given)",
     )
     parser.add_argument(

@@ -5,7 +5,7 @@ The quickest route to a Perfetto-loadable trace of a simulated HipMCL
 run:
 
     PYTHONPATH=src python tools/run_trace.py eukarya-xs \
-        --backend process --workers 4 --overlap \
+        --backend thread --workers 4 --overlap \
         --trace trace.json --metrics metrics.ndjson
 
 The positional argument is a catalog network name (``archaea-xs``,
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--workers", default=None, metavar="N")
     parser.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default=None,
+        "--backend", choices=["serial", "thread"], default=None,
     )
     parser.add_argument("--overlap", action="store_true", default=None)
     parser.add_argument(
