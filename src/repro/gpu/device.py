@@ -31,6 +31,9 @@ class GPUDevice:
     index: int = 0
     capacity_bytes: int | None = None  # default: spec.gpu_memory_bytes
     _allocated: dict[str, int] = field(default_factory=dict)
+    #: Running ``sum(_allocated.values())``: the engine stages three
+    #: allocations per device per local multiply, thousands per run.
+    _allocated_total: int = field(default=0, init=False, repr=False)
     peak_bytes: int = 0
     kernel_launches: int = 0
     injector: object | None = None
@@ -45,7 +48,7 @@ class GPUDevice:
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(self._allocated.values())
+        return self._allocated_total
 
     @property
     def free_bytes(self) -> int:
@@ -68,25 +71,29 @@ class GPUDevice:
                 f"GPU {self.index}: injected transient fault allocating "
                 f"{nbytes} B under {tag!r}"
             )
-        if nbytes > self.free_bytes:
+        total = self._allocated_total + nbytes
+        if total > self.capacity_bytes:
             raise DeviceMemoryError(
                 f"GPU {self.index}: allocating {nbytes} B under {tag!r} "
                 f"exceeds capacity ({self.free_bytes} B free of "
                 f"{self.capacity_bytes})"
             )
         self._allocated[tag] = nbytes
-        self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
+        self._allocated_total = total
+        if total > self.peak_bytes:
+            self.peak_bytes = total
 
     def free(self, tag: str) -> None:
         """Release the allocation held under ``tag``."""
         try:
-            del self._allocated[tag]
+            self._allocated_total -= self._allocated.pop(tag)
         except KeyError:
             raise ValueError(f"allocation tag {tag!r} not live") from None
 
     def free_all(self) -> None:
         """Release everything (end of a SUMMA stage)."""
         self._allocated.clear()
+        self._allocated_total = 0
 
     def fits(self, nbytes: int) -> bool:
         """Would an ``nbytes`` allocation succeed right now?"""

@@ -4,7 +4,7 @@ The simulator has two kinds of code: *modeled* kernels, whose structure
 and operation counts feed the machine model (heap/hash op counts, merge
 events, prune protocol traffic), and *numeric* code, which only has to
 produce the right numbers.  This package accelerates the second kind —
-dense-scatter ESC, batched k-way merge, partition-based top-k, label
+compiled Gustavson ESC, batched k-way merge, partition-based top-k, label
 propagation components, arena-backed buffers, instance-level memo caches
 — while guaranteeing bit-identical outputs to the faithful slow paths
 (every accumulation happens in the same element order; see

@@ -156,12 +156,17 @@ def compress_sorted_major(major: np.ndarray, n_major: int) -> np.ndarray:
 
 def major_lengths(indptr) -> np.ndarray:
     """Number of stored entries in each major slice."""
-    return np.diff(indptr)
+    # Slice subtraction, not np.diff: same values without its Python-level
+    # overhead, which shows on the engine's thousands of tiny blocks.
+    indptr = np.asarray(indptr)
+    return indptr[1:] - indptr[:-1]
 
 
 def expand_major(indptr, n_major: int) -> np.ndarray:
     """Expand ``indptr`` to one major index per stored entry (COO major)."""
-    return np.repeat(np.arange(n_major, dtype=INDEX_DTYPE), np.diff(indptr))
+    return np.repeat(
+        np.arange(n_major, dtype=INDEX_DTYPE), major_lengths(indptr)
+    )
 
 
 def compress_major(major: np.ndarray, n_major: int) -> np.ndarray:

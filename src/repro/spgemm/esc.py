@@ -2,12 +2,17 @@
 
 ESC (Bell, Dalton & Olson; also the backbone of ``bhsparse``-era GPU
 SpGEMM) materializes every intermediate product ``a_ik · b_kj``, sorts the
-triples by (column, row), and compresses runs by summation.  It is the one
-classical SpGEMM formulation that maps onto pure-NumPy primitives with *no*
-per-column Python loop, so this module doubles as the library's fast
-numeric engine: the simulated GPU kernels and the distributed driver use it
-to produce real numeric results while the machine model charges the cost of
-whichever algorithm was *selected*.
+triples by (column, row), and compresses runs by summation.  It maps onto
+pure-NumPy primitives with *no* per-column Python loop, and its stable
+expansion order defines the library's canonical summation order.
+
+:func:`spgemm_esc` is the library's numeric engine: the simulated GPU
+kernels and the distributed driver use it to produce real numeric results
+while the machine model charges the cost of whichever algorithm was
+*selected*.  With fast paths enabled it runs the compiled Gustavson
+kernel of :mod:`repro.perf.esc`, which sums in the same order; the
+faithful :func:`expand_sort_compress` below serves ``REPRO_PERF=0`` and
+the blocks where that kernel drops an exact-zero sum.
 
 Complexity: O(flops · log flops) time, O(flops) transient memory — the
 memory profile that motivates HipMCL's phased execution in the first place.
@@ -30,7 +35,7 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     Output has sorted row indices within each column, duplicates summed,
     and no explicitly-stored zeros introduced by the expansion (exact
     cancellations are kept, matching IEEE summation of the other kernels).
-    Routes to the dense-scatter fast path (:mod:`repro.perf.esc`) when
+    Routes to the compiled Gustavson kernel (:mod:`repro.perf.esc`) when
     fast paths are enabled — bit-identical output either way.
     """
     if a.ncols != b.nrows:
@@ -41,23 +46,31 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     if a.nnz == 0 or b.nnz == 0:
         return CSCMatrix.empty(shape)
     if dispatch.enabled():
-        from ..parallel import get_executor
+        from ..parallel import work
 
-        ex = get_executor()
-        if ex.workers > 1 and b.ncols >= 2 * ex.workers:
-            from ..parallel.work import (
-                PARALLEL_MIN_FLOPS,
-                parallel_spgemm_columns,
-            )
+        # flops <= nnz(A)·nnz(B): small blocks skip the executor lookup.
+        if a.nnz * b.nnz >= work.PARALLEL_MIN_FLOPS:
+            from ..parallel import get_executor
 
-            if expansion_size(a, b) >= PARALLEL_MIN_FLOPS:
+            ex = get_executor()
+            if (
+                ex.workers > 1
+                and b.ncols >= 2 * ex.workers
+                and expansion_size(a, b) >= work.PARALLEL_MIN_FLOPS
+            ):
                 # Output columns are independent and each sums strictly
                 # within itself, so slab-wise fan-out is bit-identical
                 # (inside a pool worker get_executor is serial — no
                 # nested fan-out).
-                return parallel_spgemm_columns(ex, "esc", a, b)
+                return work.parallel_spgemm_columns(ex, "esc", a, b)
         return spgemm_esc_fast(a, b)
+    return expand_sort_compress(a, b)
 
+
+def expand_sort_compress(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
+    """The faithful lexsort ESC body (``REPRO_PERF=0`` and the fallback
+    of the compiled kernel for blocks with an exact-zero sum)."""
+    shape = (a.nrows, b.ncols)
     a_col_lens = a.column_lengths()
     # Expansion: for every nonzero b_kj, replicate column k of A.
     reps = a_col_lens[b.indices]  # products generated per B-nonzero
@@ -91,7 +104,7 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     c_rows = rows[group_starts]
     c_cols = out_col[group_starts]
     # Canonical left-to-right summation (see groupsum_ordered): matches
-    # the dense-scatter fast path bit-for-bit.
+    # the compiled Gustavson fast path bit-for-bit.
     c_vals = _c.groupsum_ordered(prod, boundary)
     indptr = _c.compress_major(c_cols, b.ncols)
     return CSCMatrix(shape, indptr, c_rows, c_vals, check=False)

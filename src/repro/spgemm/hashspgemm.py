@@ -200,17 +200,22 @@ def spgemm_hash(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     )
 
 
-def hash_operation_count(a: CSCMatrix, b: CSCMatrix, c_nnz: int) -> float:
+def hash_operation_count(
+    a: CSCMatrix, b: CSCMatrix, c_nnz: int, flops: int | None = None
+) -> float:
     """Modeled operation count: one probe/update per flop plus the final
     per-column sort, ``nnz(C) · log2(nnz(C)/ncols)`` amortized.
 
     Unlike the heap kernel the cost has *no* log factor on the flops term —
     this difference is what the machine model turns into the heap/hash
-    crossover of §VI.
+    crossover of §VI.  ``flops`` passes ``flops(A·B)`` when the caller
+    already holds it.
     """
-    from .metrics import flops
+    if flops is None:
+        from .metrics import flops as count_flops
 
-    f = float(flops(a, b))
+        flops = count_flops(a, b)
+    f = float(flops)
     if c_nnz <= 0:
         return f
     used = max(1, int((b.column_lengths() > 0).sum()))

@@ -27,12 +27,12 @@ from ..sparse import _compressed as _c
 def spgemm_heap(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     """Multiply ``C = A·B`` (both CSC) with per-column k-way heap merges.
 
-    Routes to the dense-scatter ESC fast path when fast paths are enabled
-    — bit-identical output: the heap pops in ``(row, cursor)`` order, and
-    a cursor's id is its B-nonzero's position, so every output entry sums
-    its contributions in exactly the element order ESC's stable
-    expand–compress uses (a cursor's own duplicates pop in position order
-    because only one entry per cursor is in the heap at a time).
+    Routes to the compiled Gustavson ESC fast path when fast paths are
+    enabled — bit-identical output: the heap pops in ``(row, cursor)``
+    order, and a cursor's id is its B-nonzero's position, so every output
+    entry sums its contributions in exactly the element order ESC's
+    stable expand–compress uses (a cursor's own duplicates pop in position
+    order because only one entry per cursor is in the heap at a time).
     """
     if a.ncols != b.nrows:
         raise ShapeError(
@@ -106,14 +106,20 @@ def spgemm_heap(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     )
 
 
-def heap_operation_count(a: CSCMatrix, b: CSCMatrix) -> float:
+def heap_operation_count(
+    a: CSCMatrix, b: CSCMatrix, per_col: np.ndarray | None = None
+) -> float:
     """Modeled comparison count: ``Σ_j flops_j · log2(max(2, k_j))``.
 
     ``k_j = nnz(B_{*j})`` is the heap size for output column j.  This feeds
-    the machine model's time estimate for the heap kernel.
+    the machine model's time estimate for the heap kernel.  ``per_col``
+    passes :func:`~repro.spgemm.metrics.flops_per_column` when the caller
+    already holds it.
     """
-    from .metrics import flops_per_column
+    if per_col is None:
+        from .metrics import flops_per_column
 
-    per_col = flops_per_column(a, b).astype(np.float64)
+        per_col = flops_per_column(a, b)
+    per_col = per_col.astype(np.float64)
     k = np.maximum(b.column_lengths(), 2).astype(np.float64)
     return float(np.sum(per_col * np.log2(k)))

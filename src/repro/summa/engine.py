@@ -70,7 +70,7 @@ def _profile_from_per_col(
 ) -> WorkProfile:
     """Build a WorkProfile without recomputing flops (engine hot path)."""
     total = int(per_col.sum())
-    n_used = max(1, int((per_col > 0).sum()))
+    n_used = max(1, int(np.count_nonzero(per_col)))
     return WorkProfile(
         flops=total,
         nnz_a=a.nnz,
@@ -259,10 +259,14 @@ def _pick_kernel(
     return kind
 
 
-def _cpu_kernel_ops(kind: KernelKind, a, b, c_nnz: int) -> float:
+def _cpu_kernel_ops(
+    kind: KernelKind, a, b, c_nnz: int, per_col, flops: int
+) -> float:
+    if flops == 0:
+        return 0.0  # what either count gives for an all-zero per_col
     if kind is KernelKind.CPU_HEAP:
-        return heap_operation_count(a, b)
-    return hash_operation_count(a, b, c_nnz)
+        return heap_operation_count(a, b, per_col)
+    return hash_operation_count(a, b, c_nnz, flops)
 
 
 def _gpu_stage_time(
@@ -285,11 +289,15 @@ def _gpu_stage_time(
     a_bytes = a.memory_bytes()
     h2d = d2h = 0
     worst = 0.0
-    for dev, (lo, hi) in zip(devices, split_columns(b.ncols, g)):
-        b_bytes = (
-            int(b.indptr[hi] - b.indptr[lo]) * 16 + (hi - lo + 1) * 8
-        )
-        c_nnz = int(product.indptr[hi] - product.indptr[lo])
+    slabs = split_columns(b.ncols, g)
+    # Every slab's counts in one gather each (exact integer sums).
+    cuts = [lo for lo, _ in slabs] + [b.ncols]
+    b_ptr = b.indptr[cuts].tolist()
+    c_ptr = product.indptr[cuts].tolist()
+    flops_ptr = np.concatenate(([0], np.cumsum(per_col_flops)))[cuts].tolist()
+    for d, (dev, (lo, hi)) in enumerate(zip(devices, slabs)):
+        b_bytes = (b_ptr[d + 1] - b_ptr[d]) * 16 + (hi - lo + 1) * 8
+        c_nnz = c_ptr[d + 1] - c_ptr[d]
         c_bytes = c_nnz * 16 + (hi - lo + 1) * 8
         try:
             dev.allocate("A", a_bytes)
@@ -299,7 +307,7 @@ def _gpu_stage_time(
         except (DeviceMemoryError, KernelLaunchError):
             dev.free_all()
             raise
-        slab_flops = float(per_col_flops[lo:hi].sum())
+        slab_flops = float(flops_ptr[d + 1] - flops_ptr[d])
         cf = slab_flops / c_nnz if c_nnz else 1.0
         worst = max(
             worst,
@@ -911,7 +919,8 @@ def summa_multiply(
                         # Injected host hash-table overflow: charge the
                         # aborted hash attempt, demote to the heap.
                         ops = _cpu_kernel_ops(
-                            kind, a_blk, b_blk, product.nnz
+                            kind, a_blk, b_blk, product.nnz, per_col,
+                            profile.flops,
                         )
                         clock.cpu.schedule(
                             ready,
@@ -970,7 +979,10 @@ def summa_multiply(
                             clock.cpu.free_at = done
                         available = done
                     else:
-                        ops = _cpu_kernel_ops(kind, a_blk, b_blk, product.nnz)
+                        ops = _cpu_kernel_ops(
+                            kind, a_blk, b_blk, product.nnz, per_col,
+                            profile.flops,
+                        )
                         dur = spec.cpu_spgemm_time(kind, ops, config.threads)
                         available = clock.cpu.schedule(
                             ready, dur, "local_spgemm"

@@ -8,7 +8,7 @@ and compare the float results through their uint64 bit patterns.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.merge.lists import TripleList, merge_lists
@@ -17,7 +17,7 @@ from repro.mcl.distributed_prune import distributed_topk_threshold
 from repro.mcl.options import MclOptions
 from repro.mcl.prune import prune_columns
 from repro.perf import fast_paths
-from repro.sparse import csc_from_triples
+from repro.sparse import CSCMatrix, csc_from_triples
 from repro.spgemm.esc import spgemm_esc
 from repro.spgemm.estimator import estimate_nnz
 from repro.spgemm.hashspgemm import spgemm_hash
@@ -79,6 +79,45 @@ def multipliable_pairs(draw, max_dim=18):
     return a, b
 
 
+# Blocks whose exact-zero sums the compiled kernel drops (so ESC's kept
+# coordinate must come from the faithful fallback), plus B columns with
+# unsorted and duplicate row indices.
+CANCELLATION = (
+    CSCMatrix((1, 2), [0, 1, 2], [0, 0], [1.0, 1.0]),
+    CSCMatrix((2, 1), [0, 2], [0, 1], [1.0, -1.0]),
+)
+STORED_ZERO = (
+    CSCMatrix((2, 2), [0, 2, 3], [0, 1, 1], [0.0, 3.0, 1.0]),
+    CSCMatrix((2, 1), [0, 2], [0, 1], [2.0, 0.5]),
+)
+UNDERFLOW = (
+    CSCMatrix((1, 1), [0, 1], [0], [1e-200]),
+    CSCMatrix((1, 1), [0, 1], [0], [1e-200]),
+)
+UNSORTED_DUPLICATE_B = (
+    CSCMatrix(
+        (3, 3), [0, 2, 3, 5], [2, 0, 1, 0, 2], [0.5, -1.5, 2.0, 3.0, 0.25]
+    ),
+    CSCMatrix(
+        (3, 2), [0, 3, 5], [2, 0, 2, 1, 1], [1.5, -2.0, 0.25, 4.0, -1.0]
+    ),
+)
+DUPLICATE_B_CANCELS = (
+    CSCMatrix((2, 2), [0, 1, 2], [1, 0], [2.0, 7.0]),
+    CSCMatrix((2, 1), [0, 2], [0, 0], [1.0, -1.0]),
+)
+
+
+def fallback_examples(test):
+    for pair in (
+        CANCELLATION, STORED_ZERO, UNDERFLOW, UNSORTED_DUPLICATE_B,
+        DUPLICATE_B_CANCELS,
+    ):
+        test = example(pair)(test)
+    return test
+
+
+@fallback_examples
 @given(multipliable_pairs())
 @settings(max_examples=80, deadline=None)
 def test_esc_fast_bit_identical(pair):
@@ -101,6 +140,7 @@ def test_hash_spa_bit_identical(pair):
     assert_same_csc(fast, slow)
 
 
+@fallback_examples
 @given(multipliable_pairs())
 @settings(max_examples=60, deadline=None)
 def test_heap_fast_bit_identical(pair):
@@ -148,6 +188,26 @@ def test_hash_spa_path_actually_engages():
         slow = spgemm_hash(a, a)
     with fast_paths(True):
         fast = spgemm_hash(a, a)
+    assert_same_csc(fast, slow)
+
+
+def test_compiled_esc_actually_engages(monkeypatch):
+    # A positive MCL-like block has no exact-zero sum, so the compiled
+    # kernel's result is returned without the fallback.
+    import repro.spgemm.esc as esc_mod
+    from repro.sparse import random_csc
+
+    a = random_csc((400, 400), 0.03, seed=5)
+    with fast_paths(False):
+        slow = spgemm_esc(a, a)
+
+    def forbidden(*args):
+        raise AssertionError("faithful ESC ran on a block without zeros")
+
+    monkeypatch.setattr(esc_mod, "expand_sort_compress", forbidden)
+    with fast_paths(True):
+        fast = spgemm_esc(a, a)
+    assert slow.nnz > 0
     assert_same_csc(fast, slow)
 
 

@@ -3,7 +3,7 @@
 
 Record a new baseline (writes BENCH_PR<k>.json at the repo root):
 
-    PYTHONPATH=src python tools/run_perfbench.py --pr 10
+    PYTHONPATH=src python tools/run_perfbench.py --pr 14
 
 Gate a change against the committed baseline (exit 1 on >25 % slowdown):
 
@@ -43,16 +43,16 @@ from repro.bench.perfbench import (  # noqa: E402
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--pr", type=int, default=10,
-        help="PR number k for the BENCH_PR<k>.json output name (default 10)",
+        "--pr", type=int, default=14,
+        help="PR number k for the BENCH_PR<k>.json output name (default 14)",
     )
     parser.add_argument(
         "--output", type=Path, default=None,
         help="explicit output path (overrides --pr)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=ROOT / "BENCH_PR10.json",
-        help="baseline report to compare against (default BENCH_PR10.json)",
+        "--baseline", type=Path, default=ROOT / "BENCH_PR14.json",
+        help="baseline report to compare against (default BENCH_PR14.json)",
     )
     parser.add_argument(
         "--workers", default=None, metavar="N",
